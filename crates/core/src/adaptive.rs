@@ -4,10 +4,15 @@
 //!
 //! 1. **Plan selection** — [`plan_adaptive`] generates a small portfolio of
 //!    candidate plans (the paper's BFS default plus the ranked greedy orders
-//!    over the 2–3 best roots), scores each with a cheap random-walk budget
-//!    over a *pilot* index ([`Ceci::build_for_pivots`] on a sampled pivot
-//!    subset, so scoring costs ≪ one full build), and picks the order with
-//!    the smallest estimated intermediate-result volume.
+//!    over the 2–3 best roots), scores each with a random-walk budget over
+//!    a *pilot* index ([`Ceci::build_for_pivots`] on a sampled pivot
+//!    subset), and picks the order with the smallest estimated
+//!    intermediate-result volume. The pivot sample only shrinks the pilot
+//!    when the root has more than [`AdaptiveOptions::max_pilot_pivots`]
+//!    candidates. Below that every pilot is a full build, so scoring a
+//!    portfolio of `k` distinct orders costs about `k` full builds plus the
+//!    walks. The candidate sets and symmetry constraints are computed once
+//!    per portfolio, not once per member.
 //! 2. **Strategy + worker choice** — [`choose_execution`] maps the winning
 //!    estimate's volume, pivot population, and per-depth branch factors to
 //!    ST / CGD / FGD and a worker count.
@@ -26,9 +31,8 @@
 use std::time::{Duration, Instant};
 
 use ceci_graph::{Graph, VertexId};
-use ceci_query::candidates::compute_candidates;
 use ceci_query::root::select_root;
-use ceci_query::{OrderStrategy, PlanOptions, QueryGraph, QueryPlan};
+use ceci_query::{OrderStrategy, PlanInputs, PlanOptions, QueryGraph, QueryPlan};
 use ceci_trace::DepthProfile;
 
 use crate::estimate::{estimate_cost, CostEstimate, EstimateOptions};
@@ -39,14 +43,15 @@ use crate::parallel::Strategy;
 /// Knobs for the adaptive planner.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveOptions {
-    /// Random-walk budget per candidate plan (small: scoring must stay well
-    /// under the cost of one full index build).
+    /// Random-walk budget per candidate plan.
     pub walks: u64,
     /// RNG seed — plan choice is deterministic per seed.
     pub seed: u64,
     /// Pivot-sample cap per pilot build. The pilot index is built from every
     /// k-th root candidate so that at most this many pivots survive into
-    /// scoring; estimates are scaled back by the sampling ratio.
+    /// scoring; estimates are scaled back by the sampling ratio. A root with
+    /// at most this many candidates is not sampled: its pilot is a full
+    /// build.
     pub max_pilot_pivots: usize,
     /// Number of distinct root choices to include in the portfolio (the
     /// best-scoring roots by the paper's `|candidates| / degree` rule).
@@ -170,8 +175,10 @@ pub fn plan_adaptive(
     options: &AdaptiveOptions,
 ) -> (QueryPlan, PlanChoice) {
     let started = Instant::now();
-    let sets = compute_candidates(&query, graph);
-    let root_choice = select_root(&query, &sets);
+    // Candidate sets and symmetry constraints depend on neither root nor
+    // order: compute them once for the whole portfolio.
+    let inputs = PlanInputs::compute(&query, graph, &PlanOptions::default());
+    let root_choice = select_root(&query, &inputs.candidates);
 
     // Rank roots by the paper's score, best first; the default root leads so
     // cost ties resolve toward the paper-default plan.
@@ -193,9 +200,9 @@ pub fn plan_adaptive(
     let mut plans: Vec<(OrderStrategy, QueryPlan)> = Vec::new();
     for &root in &roots {
         for strategy in STRATEGIES {
-            let plan = QueryPlan::with_options(
+            let plan = QueryPlan::with_inputs(
                 query.clone(),
-                graph,
+                inputs.clone(),
                 &PlanOptions {
                     order: strategy,
                     root_override: Some(root),

@@ -459,6 +459,17 @@ pub fn run_distributed_traced(
         .iter()
         .map(|p| Mutex::new(p.iter().copied().collect()))
         .collect();
+    // A machine with a planned crash keeps its first cluster out of
+    // thieves' reach. Its virtual clock then advances under any thread
+    // interleaving, so a crash point of zero is always reached; without
+    // this, peers could steal its whole queue before it claims a cluster.
+    let reserved: Vec<Option<VertexId>> = (0..m)
+        .map(|i| {
+            faults
+                .and_then(|f| f.crash_nanos_for(i))
+                .and_then(|_| queues[i].lock().pop_front())
+        })
+        .collect();
     let ledgers: Vec<Ledger> = (0..m).map(|_| Ledger::default()).collect();
     let board = ResultBoard::new(&partition.assignment);
     let states: Vec<MachineState> = (0..m).map(|_| MachineState::new()).collect();
@@ -492,6 +503,7 @@ pub fn run_distributed_traced(
             let board = &board;
             let states = &states;
             let clock_plan = &clock_plan;
+            let reserved = reserved[machine];
             handles.push(scope.spawn(move || {
                 run_machine(
                     graph,
@@ -499,6 +511,7 @@ pub fn run_distributed_traced(
                     config,
                     machine,
                     partition.assignment[machine].clone(),
+                    reserved,
                     queues,
                     ledgers,
                     board,
@@ -648,6 +661,7 @@ fn run_machine(
     config: &ClusterConfig,
     machine: usize,
     own_pivots: Vec<VertexId>,
+    reserved: Option<VertexId>,
     queues: &[Mutex<VecDeque<VertexId>>],
     ledgers: &[Ledger],
     board: &ResultBoard,
@@ -687,6 +701,8 @@ fn run_machine(
     let processed = AtomicU64::new(0);
     let stolen = AtomicU64::new(0);
     let committed_sum = AtomicU64::new(0);
+    // The unstealable cluster (see `run_distributed_traced`) runs first.
+    let reserved = Mutex::new(reserved);
     let threads = config.threads_per_machine;
     let mut thread_outcomes: Vec<(Counters, Duration)> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
@@ -695,6 +711,7 @@ fn run_machine(
         let stolen = &stolen;
         let committed_sum = &committed_sum;
         let own_set = &own_set;
+        let reserved = &reserved;
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             handles.push(scope.spawn(move || {
@@ -717,7 +734,10 @@ fn run_machine(
                         break;
                     }
                     // Own queue first, then stealing, then speculation.
-                    let own = queues[machine].lock().pop_front();
+                    let own = reserved
+                        .lock()
+                        .take()
+                        .or_else(|| queues[machine].lock().pop_front());
                     let mut speculative_epoch: Option<u32> = None;
                     let pivot = match own {
                         Some(p) => Some(p),

@@ -2,13 +2,16 @@
 //!
 //! [`Graph`] combines CSR adjacency with per-vertex [`LabelSet`]s, a
 //! label → vertices inverted index (used by root selection and candidate
-//! seeding), and an optional precomputed neighborhood-label-count (NLC)
-//! index used by the paper's NLC filter (§3.2).
+//! seeding), and two optional serving indexes: the neighborhood-label-count
+//! (NLC) index behind the paper's NLC filter (§3.2), and the label-pair
+//! admission index derived from it.
 //!
 //! Directed inputs are symmetrized: the paper matches undirected query graphs
 //! against directed or undirected data graphs, and its candidate/adjacency
 //! machinery only consults connectivity, so we store one undirected adjacency
 //! and keep a `directed` provenance flag.
+
+use std::borrow::Cow;
 
 use crate::csr::Csr;
 use crate::ids::{LabelId, VertexId};
@@ -36,38 +39,148 @@ pub struct Graph {
 /// neighborhood, whether `count_v(l) >= count_u(l)`. With this index the
 /// check is a merge over two short sorted lists instead of a rescan of the
 /// data vertex's adjacency.
-#[derive(Clone, Debug)]
+///
+/// A row holds at most `min(Σ |labels| over neighbors, |L|)` entries, so the
+/// index is bounded by `min(deg(v), |L|)` entries per vertex on single-label
+/// graphs. Both arrays are sized exactly: a counting pass fixes every row's
+/// length before any row is written.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NlcIndex {
     offsets: Vec<usize>,
     entries: Vec<(LabelId, u32)>,
 }
 
-impl NlcIndex {
-    fn build(csr: &Csr, labels: &[LabelSet]) -> Self {
-        let n = csr.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut entries: Vec<(LabelId, u32)> = Vec::new();
-        offsets.push(0);
-        let mut scratch: Vec<LabelId> = Vec::new();
-        for v in 0..n {
-            scratch.clear();
-            for &nb in csr.neighbors(VertexId::from_index(v)) {
-                scratch.extend(labels[nb.index()].iter());
-            }
-            scratch.sort_unstable();
-            let mut i = 0;
-            while i < scratch.len() {
-                let l = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == l {
-                    j += 1;
-                }
-                entries.push((l, (j - i) as u32));
-                i = j;
-            }
-            offsets.push(entries.len());
+/// Scratch for one vertex's neighbor-label multiset: a dense per-label
+/// tally plus the distinct labels it touched, so a row costs O(Σ neighbor
+/// label-set sizes + k log k) for its `k` distinct labels and resetting
+/// costs O(k).
+struct LabelTally {
+    counts: Vec<u32>,
+    /// `touched[..k]` are the distinct labels of the current tally. One
+    /// spare slot lets [`LabelTally::tally`] write every label and advance
+    /// only past new ones, with no branch on the random label sequence.
+    touched: Vec<LabelId>,
+}
+
+impl LabelTally {
+    fn new(num_labels: u32) -> Self {
+        LabelTally {
+            counts: vec![0; num_labels as usize],
+            touched: vec![LabelId(0); num_labels as usize + 1],
         }
+    }
+
+    /// Tallies the labels of `v`'s neighbors and returns how many are
+    /// distinct.
+    fn tally(&mut self, csr: &Csr, labels: &[LabelSet], v: VertexId) -> usize {
+        let mut k = 0;
+        for &nb in csr.neighbors(v) {
+            for l in labels[nb.index()].iter() {
+                let c = &mut self.counts[l.index()];
+                self.touched[k] = l;
+                k += (*c == 0) as usize;
+                *c += 1;
+            }
+        }
+        k
+    }
+
+    /// Number of distinct labels among `v`'s neighbors.
+    fn distinct(&mut self, csr: &Csr, labels: &[LabelSet], v: VertexId) -> usize {
+        let k = self.tally(csr, labels, v);
+        for l in &self.touched[..k] {
+            self.counts[l.index()] = 0;
+        }
+        k
+    }
+
+    /// Appends `v`'s sorted `(label, count)` row onto `out`.
+    fn row_into(
+        &mut self,
+        csr: &Csr,
+        labels: &[LabelSet],
+        v: VertexId,
+        out: &mut Vec<(LabelId, u32)>,
+    ) {
+        let k = self.tally(csr, labels, v);
+        let touched = &mut self.touched[..k];
+        touched.sort_unstable();
+        for &l in touched.iter() {
+            out.push((l, std::mem::take(&mut self.counts[l.index()])));
+        }
+    }
+}
+
+impl NlcIndex {
+    /// Builds the exact index of `graph` from its adjacency.
+    pub fn build(graph: &Graph) -> Self {
+        let (csr, labels) = (&graph.csr, graph.labels.as_slice());
+        let mut tally = LabelTally::new(graph.num_labels);
+        let mut offsets = Vec::with_capacity(csr.num_vertices() + 1);
+        offsets.push(0);
+        let mut total = 0;
+        for v in graph.vertices() {
+            total += tally.distinct(csr, labels, v);
+            offsets.push(total);
+        }
+        let mut entries = Vec::with_capacity(total);
+        for v in graph.vertices() {
+            tally.row_into(csr, labels, v, &mut entries);
+        }
+        debug_assert_eq!(entries.len(), total);
         NlcIndex { offsets, entries }
+    }
+
+    /// The index of `graph`, given `self` indexes a graph with the same
+    /// vertices and labels whose adjacency differs from `graph`'s only at
+    /// `endpoints` (sorted, deduplicated) — the endpoints of a mutation
+    /// batch. Rows of untouched vertices are copied; endpoint rows are
+    /// recomputed on `graph`'s adjacency. The result equals
+    /// [`NlcIndex::build`] on `graph`: an edge change moves the neighbor
+    /// labels of its two endpoints and of no other vertex.
+    ///
+    /// # Panics
+    /// Panics if the vertex counts differ.
+    pub fn patched(&self, graph: &Graph, endpoints: &[VertexId]) -> NlcIndex {
+        let n = self.offsets.len() - 1;
+        assert_eq!(n, graph.num_vertices(), "NLC index covers another graph");
+        debug_assert!(endpoints.windows(2).all(|w| w[0] < w[1]));
+        let mut tally = LabelTally::new(graph.num_labels);
+        let mut fresh = Vec::new();
+        let mut fresh_ends = Vec::with_capacity(endpoints.len());
+        for &v in endpoints {
+            tally.row_into(&graph.csr, &graph.labels, v, &mut fresh);
+            fresh_ends.push(fresh.len());
+        }
+        let dropped: usize = endpoints.iter().map(|&v| self.counts(v).len()).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entries = Vec::with_capacity(self.entries.len() - dropped + fresh.len());
+        offsets.push(0);
+        let (mut next, mut row_start) = (0, 0);
+        for (&v, &row_end) in endpoints.iter().zip(&fresh_ends) {
+            self.copy_rows(next..v.index(), &mut offsets, &mut entries);
+            entries.extend_from_slice(&fresh[row_start..row_end]);
+            offsets.push(entries.len());
+            (next, row_start) = (v.index() + 1, row_end);
+        }
+        self.copy_rows(next..n, &mut offsets, &mut entries);
+        NlcIndex { offsets, entries }
+    }
+
+    /// Appends the rows of `vertices` wholesale, rebasing their offsets.
+    fn copy_rows(
+        &self,
+        vertices: std::ops::Range<usize>,
+        offsets: &mut Vec<usize>,
+        entries: &mut Vec<(LabelId, u32)>,
+    ) {
+        let (lo, base) = (self.offsets[vertices.start], entries.len());
+        entries.extend_from_slice(&self.entries[lo..self.offsets[vertices.end]]);
+        offsets.extend(
+            self.offsets[vertices.start + 1..=vertices.end]
+                .iter()
+                .map(|&o| o - lo + base),
+        );
     }
 
     /// The sorted `(label, count)` list of `v`.
@@ -106,7 +219,7 @@ impl NlcIndex {
 /// can only map to a vertex with `max_count(l, m) >= c`. Both checks run in
 /// O(query edges × label-set size) — before any candidate computation or
 /// CECI build.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LabelPairIndex {
     /// Sorted by packed key `(l << 32) | m`; value = max `m`-neighbor count
     /// over vertices carrying `l`.
@@ -119,34 +232,29 @@ impl LabelPairIndex {
         ((l.0 as u64) << 32) | m.0 as u64
     }
 
-    fn build(csr: &Csr, labels: &[LabelSet]) -> Self {
-        use std::collections::HashMap;
-        let mut max: HashMap<u64, u32> = HashMap::new();
-        let mut scratch: Vec<LabelId> = Vec::new();
-        for v in 0..csr.num_vertices() {
-            // Neighborhood label multiset of v, as sorted runs.
-            scratch.clear();
-            for &nb in csr.neighbors(VertexId::from_index(v)) {
-                scratch.extend(labels[nb.index()].iter());
+    /// Derives the index from the NLC rows: `max_count(l, m)` is the max of
+    /// `count_v(m)` over the vertices `v` in `label_index[l]`.
+    fn derive(nlc: &NlcIndex, label_index: &[Vec<VertexId>]) -> Self {
+        let mut best = vec![0u32; label_index.len()];
+        let mut touched: Vec<LabelId> = Vec::new();
+        let mut entries = Vec::new();
+        for (l, vertices) in label_index.iter().enumerate() {
+            for &v in vertices {
+                for &(m, c) in nlc.counts(v) {
+                    let b = &mut best[m.index()];
+                    if *b == 0 {
+                        touched.push(m);
+                    }
+                    *b = (*b).max(c);
+                }
             }
-            scratch.sort_unstable();
-            let mut i = 0;
-            while i < scratch.len() {
-                let m = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == m {
-                    j += 1;
-                }
-                let count = (j - i) as u32;
-                for l in labels[v].iter() {
-                    let e = max.entry(Self::key(l, m)).or_insert(0);
-                    *e = (*e).max(count);
-                }
-                i = j;
+            touched.sort_unstable();
+            for m in touched.drain(..) {
+                let b = std::mem::take(&mut best[m.index()]);
+                entries.push((Self::key(LabelId(l as u32), m), b));
             }
         }
-        let mut entries: Vec<(u64, u32)> = max.into_iter().collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.shrink_to_fit();
         LabelPairIndex { entries }
     }
 
@@ -171,26 +279,14 @@ impl LabelPairIndex {
         }
     }
 
-    /// Re-derives vertex `v`'s neighborhood label counts on `graph` and
-    /// raises every `(label-of-v, neighbor-label)` maximum accordingly. Used
+    /// Raises every `(label-of-v, neighbor-label)` maximum to `v`'s
+    /// neighborhood label counts on `graph`, read from its NLC row. Used
     /// after a mutation batch for each touched endpoint.
     pub fn absorb_vertex(&mut self, graph: &Graph, v: VertexId) {
-        let mut scratch: Vec<LabelId> = Vec::new();
-        for &nb in graph.neighbors(v) {
-            scratch.extend(graph.labels(nb).iter());
-        }
-        scratch.sort_unstable();
-        let mut i = 0;
-        while i < scratch.len() {
-            let m = scratch[i];
-            let mut j = i + 1;
-            while j < scratch.len() && scratch[j] == m {
-                j += 1;
-            }
+        for &(m, c) in graph.neighbor_label_counts(v).iter() {
             for l in graph.labels(v).iter() {
-                self.raise(l, m, (j - i) as u32);
+                self.raise(l, m, c);
             }
-            i = j;
         }
     }
 
@@ -312,7 +408,7 @@ impl Graph {
     /// Precomputes the NLC index. Idempotent.
     pub fn build_nlc_index(&mut self) {
         if self.nlc.is_none() {
-            self.nlc = Some(NlcIndex::build(&self.csr, &self.labels));
+            self.nlc = Some(NlcIndex::build(self));
         }
     }
 
@@ -322,10 +418,29 @@ impl Graph {
         self.nlc.as_ref()
     }
 
-    /// Precomputes the label-pair admission index. Idempotent.
+    /// Attaches an externally maintained NLC index, replacing any existing
+    /// one. The streaming path carries the index across mutation batches
+    /// with [`NlcIndex::patched`] instead of rebuilding it per batch; the
+    /// caller guarantees it is exact for this graph.
+    ///
+    /// # Panics
+    /// Panics if the index covers a different number of vertices.
+    pub fn set_nlc_index(&mut self, index: NlcIndex) {
+        assert_eq!(
+            index.offsets.len(),
+            self.num_vertices() + 1,
+            "NLC index covers another graph"
+        );
+        self.nlc = Some(index);
+    }
+
+    /// Precomputes the serving indexes: the NLC index (when absent), then
+    /// the label-pair admission index derived from its rows. Idempotent.
     pub fn build_label_pair_index(&mut self) {
+        self.build_nlc_index();
         if self.label_pairs.is_none() {
-            self.label_pairs = Some(LabelPairIndex::build(&self.csr, &self.labels));
+            let nlc = self.nlc.as_ref().expect("NLC index built above");
+            self.label_pairs = Some(LabelPairIndex::derive(nlc, &self.label_index));
         }
     }
 
@@ -409,6 +524,19 @@ impl Graph {
             .get(l.index())
             .map(|v| v.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// `v`'s sorted `(label, count)` neighborhood row: borrowed from the NLC
+    /// index when built, otherwise computed from the adjacency list.
+    pub fn neighbor_label_counts(&self, v: VertexId) -> Cow<'_, [(LabelId, u32)]> {
+        match &self.nlc {
+            Some(nlc) => Cow::Borrowed(nlc.counts(v)),
+            None => {
+                let mut row = Vec::new();
+                LabelTally::new(self.num_labels).row_into(&self.csr, &self.labels, v, &mut row);
+                Cow::Owned(row)
+            }
+        }
     }
 
     /// Count of neighbors of `v` carrying label `l`. Uses the NLC index when

@@ -33,6 +33,6 @@ pub use catalog::PaperQuery;
 pub use hash::{canonical_hash, CanonicalQuery};
 pub use nec::OrderConstraint;
 pub use order::{is_valid_order, matching_order, OrderStrategy};
-pub use plan::{PlanOptions, QueryPlan};
+pub use plan::{PlanInputs, PlanOptions, QueryPlan};
 pub use query_graph::{QueryGraph, QueryGraphError};
 pub use tree::QueryTree;

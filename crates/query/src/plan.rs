@@ -41,6 +41,36 @@ impl Default for PlanOptions {
     }
 }
 
+/// The root- and order-independent part of a plan: the initial candidate
+/// sets and the symmetry constraints. A plan portfolio computes them once
+/// and builds every member from them with [`QueryPlan::with_inputs`].
+#[derive(Clone, Debug)]
+pub struct PlanInputs {
+    /// Initial candidate sets, in query-vertex order.
+    pub candidates: Vec<CandidateSet>,
+    /// Symmetry constraints (empty when symmetry breaking is off).
+    pub symmetry: Vec<OrderConstraint>,
+    /// Whether `symmetry` fully quotients the automorphism group.
+    pub symmetry_complete: bool,
+}
+
+impl PlanInputs {
+    /// Computes the candidate sets on `graph`, and the symmetry constraints
+    /// when `options.break_symmetry` is on.
+    pub fn compute(query: &QueryGraph, graph: &Graph, options: &PlanOptions) -> Self {
+        let (symmetry, symmetry_complete) = if options.break_symmetry {
+            break_symmetry(query, options.symmetry_step_cap)
+        } else {
+            (Vec::new(), false)
+        };
+        PlanInputs {
+            candidates: compute_candidates(query, graph),
+            symmetry,
+            symmetry_complete,
+        }
+    }
+}
+
 /// The complete preprocessing output for one (query, data graph) pair.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
@@ -78,33 +108,29 @@ impl QueryPlan {
 
     /// Builds a plan with explicit options.
     pub fn with_options(query: QueryGraph, graph: &Graph, options: &PlanOptions) -> Self {
-        let initial_candidates = compute_candidates(&query, graph);
-        let root = options
-            .root_override
-            .unwrap_or_else(|| select_root(&query, &initial_candidates).root);
-        let tree = QueryTree::build(&query, root);
-        let counts: Vec<usize> = {
-            // candidate sets are in vertex order already
-            initial_candidates
-                .iter()
-                .map(|s| s.candidates.len())
-                .collect()
-        };
-        let order = matching_order(&query, &tree, options.order, &counts);
-        debug_assert!(is_valid_order(&tree, &order));
-        let (symmetry, symmetry_complete) = if options.break_symmetry {
-            break_symmetry(&query, options.symmetry_step_cap)
-        } else {
-            (Vec::new(), false)
-        };
-        Self::assemble(
-            query,
-            tree,
-            order,
-            initial_candidates,
+        let inputs = PlanInputs::compute(&query, graph, options);
+        QueryPlan::with_inputs(query, inputs, options)
+    }
+
+    /// Builds a plan from precomputed [`PlanInputs`], honoring
+    /// `options.order` and `options.root_override`. Equal to
+    /// [`QueryPlan::with_options`] when `inputs` is
+    /// `PlanInputs::compute(&query, graph, options)`.
+    pub fn with_inputs(query: QueryGraph, inputs: PlanInputs, options: &PlanOptions) -> Self {
+        let PlanInputs {
+            candidates,
             symmetry,
             symmetry_complete,
-        )
+        } = inputs;
+        let root = options
+            .root_override
+            .unwrap_or_else(|| select_root(&query, &candidates).root);
+        let tree = QueryTree::build(&query, root);
+        // Candidate sets are in vertex order already.
+        let counts: Vec<usize> = candidates.iter().map(|s| s.candidates.len()).collect();
+        let order = matching_order(&query, &tree, options.order, &counts);
+        debug_assert!(is_valid_order(&tree, &order));
+        Self::assemble(query, tree, order, candidates, symmetry, symmetry_complete)
     }
 
     /// Builds a plan from preassembled parts (used by tests and by engines

@@ -151,24 +151,7 @@ impl QueryGraph {
     /// Distinct labels appearing among the neighbors of `u`, with counts —
     /// the set of `(l, count_u(l))` pairs the NLC filter compares.
     pub fn neighborhood_label_counts(&self, u: VertexId) -> Vec<(LabelId, u32)> {
-        let mut all: Vec<LabelId> = self
-            .neighbors(u)
-            .iter()
-            .flat_map(|&nb| self.labels(nb).iter())
-            .collect();
-        all.sort_unstable();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < all.len() {
-            let l = all[i];
-            let mut j = i + 1;
-            while j < all.len() && all[j] == l {
-                j += 1;
-            }
-            out.push((l, (j - i) as u32));
-            i = j;
-        }
-        out
+        self.graph.neighbor_label_counts(u).into_owned()
     }
 
     /// The underlying graph storage (used by automorphism search).

@@ -165,9 +165,11 @@ impl GraphEntry {
     /// Applies one mutation batch atomically: edge adds/deletes go through
     /// the overlay (net semantics — re-adding a pending delete cancels it),
     /// an applied batch publishes a fresh snapshot, bumps the sub-epoch,
-    /// maintains the label-pair admission index, logs the dirty endpoints
-    /// (log bounded by `dirty_log_cap`), and compacts the overlay into a new
-    /// base once `compact_threshold` net mutations are pending.
+    /// carries the NLC index forward exactly (copied rows, endpoint rows
+    /// recomputed), maintains the label-pair admission index, logs the
+    /// dirty endpoints (log bounded by `dirty_log_cap`), and compacts the
+    /// overlay into a new base once `compact_threshold` net mutations are
+    /// pending.
     ///
     /// Returns `Err` when any endpoint is out of range for the graph; no
     /// mutation is applied in that case.
@@ -225,14 +227,19 @@ impl GraphEntry {
             });
         }
         let mut fresh = st.overlay.commit(&st.base);
+        if let Some(nlc) = old_graph.nlc_index() {
+            // Kept exact across every batch: only the endpoints' rows moved,
+            // and a stale count after an add would prune a valid candidate.
+            fresh.set_nlc_index(nlc.patched(&fresh, &endpoints));
+        }
         let compacted = st.overlay.pending() >= compact_threshold.max(1);
         if compacted {
-            // Exact rebuild at compaction: the fresh CSR has no label-pair
-            // index yet, so this computes it from scratch.
+            // Exact rebuild at compaction: the fresh graph has no label-pair
+            // index yet, so this derives it from the carried NLC rows.
             fresh.build_label_pair_index();
         } else if let Some(lpi) = old_graph.label_pair_index() {
-            // Maintained between compactions: raise the endpoint maxima on
-            // the new adjacency. Deletions keep stale maxima — a sound
+            // Maintained between compactions: raise the endpoint maxima from
+            // their new NLC rows. Deletions keep stale maxima — a sound
             // overestimate for the admission filter.
             let mut lpi = lpi.clone();
             for &v in &endpoints {

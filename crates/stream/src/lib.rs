@@ -80,7 +80,7 @@ impl RepairStats {
 /// each mutation batch (passing the batch's touched endpoints) and
 /// [`StreamIndex::materialize`] whenever a frozen, refined [`Ceci`] is
 /// needed for enumeration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamIndex {
     /// Sorted root candidates (pre-refinement).
     pivots: Vec<VertexId>,

@@ -8,6 +8,8 @@
 //! * Symmetry breaking yields exactly one representative per automorphism
 //!   class.
 //! * Index size accounting is internally consistent.
+//! * The NLC index changes the cost of filtering, never its outcome, and
+//!   stays exact across mutation batches and compaction.
 
 use ceci::baselines::enumerate_all;
 use ceci::prelude::*;
@@ -35,6 +37,54 @@ fn arb_graph() -> impl PropStrategy<Value = Graph> {
             .collect();
         Graph::new(label_sets, &edges, false)
     })
+}
+
+/// Like [`arb_graph`], with up to 4 labels and some vertices carrying two,
+/// so neighbor-label rows hold several labels per neighbor.
+fn arb_multilabel_graph() -> impl PropStrategy<Value = Graph> {
+    (4usize..=24, 0.05f64..0.5, 1u32..=4, any::<u64>()).prop_map(|(n, p, labels, seed)| {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for a in 0..n as u32 {
+            for b in (a + 1)..n as u32 {
+                if rng.gen_bool(p) {
+                    edges.push((vid(a), vid(b)));
+                }
+            }
+        }
+        let label_sets: Vec<LabelSet> = (0..n)
+            .map(|_| {
+                let first = lid(rng.gen_range(0..labels));
+                if rng.gen_bool(0.3) {
+                    LabelSet::from_labels([first, lid(rng.gen_range(0..labels))])
+                } else {
+                    LabelSet::single(first)
+                }
+            })
+            .collect();
+        Graph::new(label_sets, &edges, false)
+    })
+}
+
+/// The same graph with none of the optional indexes built.
+fn without_indexes(graph: &Graph) -> Graph {
+    let labels = graph.vertices().map(|v| graph.labels(v).clone()).collect();
+    Graph::from_csr(graph.csr().clone(), labels, graph.is_directed_input())
+}
+
+/// Asserts two CECI builds are table for table identical.
+fn assert_same_ceci(plan: &QueryPlan, a: &Ceci, b: &Ceci) {
+    prop_assert_eq!(a.pivots(), b.pivots());
+    for u in plan.query().vertices() {
+        prop_assert_eq!(a.candidates(u), b.candidates(u));
+        prop_assert_eq!(a.te(u), b.te(u));
+        prop_assert_eq!(a.nte(u), b.nte(u));
+        for &v in a.candidates(u) {
+            prop_assert_eq!(a.cardinality(u, v), b.cardinality(u, v));
+        }
+    }
 }
 
 /// One of a fixed set of query shapes, with labels drawn to match the data
@@ -251,7 +301,7 @@ proptest! {
         let maintained = mutated
             .label_pair_index()
             .expect("maintenance keeps the index alive");
-        let mut exact = (*mutated).clone();
+        let mut exact = without_indexes(&mutated);
         exact.build_label_pair_index();
         let exact = exact.label_pair_index().unwrap();
         for l in 0..mutated.num_labels() {
@@ -272,6 +322,91 @@ proptest! {
             let plan = QueryPlan::new(query, &mutated);
             let found = enumerate_all(&mutated, plan.query(), plan.symmetry_constraints()).len();
             prop_assert_eq!(found, 0, "filter rejected a satisfiable query on a mutated graph");
+        }
+    }
+
+    #[test]
+    fn nlc_index_is_bit_identical(graph in arb_multilabel_graph(), query in arb_query()) {
+        // The NLC index replaces adjacency scans with row lookups; every
+        // filter outcome, table, plan choice and count must be unchanged.
+        let plain = without_indexes(&graph);
+        let mut indexed = without_indexes(&graph);
+        indexed.build_label_pair_index();
+        prop_assert!(plain.nlc_index().is_none() && indexed.nlc_index().is_some());
+
+        let candidates = |g: &Graph| -> Vec<Vec<VertexId>> {
+            ceci_query::candidates::compute_candidates(&query, g)
+                .into_iter()
+                .map(|s| s.candidates)
+                .collect()
+        };
+        prop_assert_eq!(candidates(&plain), candidates(&indexed));
+
+        let options = ceci::core::AdaptiveOptions::default();
+        let (adaptive, choice) = ceci::core::plan_adaptive(query.clone(), &plain, &options);
+        let (_, indexed_choice) = ceci::core::plan_adaptive(query.clone(), &indexed, &options);
+        prop_assert_eq!(choice.candidates.len(), indexed_choice.candidates.len());
+        for (a, b) in choice.candidates.iter().zip(&indexed_choice.candidates) {
+            prop_assert_eq!(&a.order, &b.order);
+            prop_assert_eq!(a.chosen, b.chosen);
+            prop_assert_eq!(a.work.to_bits(), b.work.to_bits());
+        }
+
+        for plan in [QueryPlan::new(query.clone(), &indexed), adaptive] {
+            let a = Ceci::build(&plain, &plan);
+            let b = Ceci::build(&indexed, &plan);
+            assert_same_ceci(&plan, &a, &b);
+            prop_assert_eq!(
+                ceci_stream::StreamIndex::build(&plain, &plan),
+                ceci_stream::StreamIndex::build(&indexed, &plan)
+            );
+            prop_assert_eq!(
+                count_embeddings(&plain, &plan, &a),
+                count_embeddings(&indexed, &plan, &b)
+            );
+        }
+    }
+
+    #[test]
+    fn nlc_index_stays_exact_across_batches(
+        graph in arb_multilabel_graph(),
+        muts in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..32),
+        batches in 1usize..6,
+        compact_threshold in 1usize..12,
+    ) {
+        // Every snapshot carries the NLC index forward from the one before;
+        // it must equal a fresh build, since a stale count after an edge add
+        // would prune a valid candidate. Compaction must leave the exact
+        // label-pair index a from-CSR rebuild computes.
+        let mut graph = graph;
+        graph.build_label_pair_index();
+        let n = graph.num_vertices() as u32;
+        let registry = ceci_service::GraphRegistry::new();
+        let (entry, _) = registry.insert("g", graph);
+
+        for chunk in muts.chunks(muts.len().div_ceil(batches)) {
+            let snapshot = entry.graph();
+            let (mut adds, mut dels) = (Vec::new(), Vec::new());
+            for &(a, b, is_add) in chunk {
+                let (a, b) = (vid(a % n), vid(b % n));
+                if a != b && is_add {
+                    adds.push((a, b));
+                } else if a != b && snapshot.has_edge(a, b) {
+                    dels.push((a, b));
+                }
+            }
+            let outcome = entry.apply_batch(&adds, &dels, compact_threshold, 64).unwrap();
+            let snap = &outcome.new_graph;
+            prop_assert_eq!(
+                snap.nlc_index(),
+                Some(&ceci_graph::NlcIndex::build(snap)),
+                "carried NLC index drifted from a rebuild"
+            );
+            if outcome.compacted {
+                let mut rebuilt = without_indexes(snap);
+                rebuilt.build_label_pair_index();
+                prop_assert_eq!(snap.label_pair_index(), rebuilt.label_pair_index());
+            }
         }
     }
 

@@ -303,7 +303,12 @@ fn maintained_label_pair_index_stays_sound_across_batches() {
 
         let maintained = outcome.new_graph.label_pair_index().cloned();
         let maintained = maintained.expect("mutated snapshot keeps its label-pair index");
-        let mut exact = (*outcome.new_graph).clone();
+        let snapshot = &outcome.new_graph;
+        let labels = snapshot
+            .vertices()
+            .map(|v| snapshot.labels(v).clone())
+            .collect();
+        let mut exact = Graph::from_csr(snapshot.csr().clone(), labels, false);
         exact.build_label_pair_index();
         let exact = exact.label_pair_index().unwrap();
         let labels = outcome.new_graph.num_labels();
